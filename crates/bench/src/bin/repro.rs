@@ -38,9 +38,10 @@
 //!   measurements are deterministic and figure generation is serial.
 //! * `--json PATH` — also write every figure's series plus per-stage
 //!   wall time and cache counters as JSON (e.g. `BENCH_sweep.json`).
-//! * `--fast` — substitute 64^3 for the 128^3 box in the scaling
-//!   figures (roughly 8x cheaper traces; shapes are preserved but the
-//!   cache-residency crossover shifts).
+//! * `--fast` — substitute 64^3 for the 128^3 box in Figs. 2–4 and
+//!   `plandump` (roughly 8x cheaper traces; shapes are preserved but the
+//!   cache-residency crossover shifts). Fig. 9, Figs. 10–12 and
+//!   `bandwidth` keep their n=128 points.
 //!
 //! Fault tolerance: a sim point whose measurement panics is recorded as
 //! failed and the remaining points (and targets) still complete; the
@@ -302,21 +303,20 @@ fn main() {
     let mut dump_passes = String::new();
     let mut dump_variant: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
+    const USAGE: &str = "usage: repro [--fast] [--store PATH] [--threads N] [--json PATH] \
+         [--mode simulate|symbolic|hybrid] \
+         [--deadline SECS] [--point-deadline SECS] \
+         [--shards N [--workers K] [--heartbeat-stale SECS] [--fabric-respawns N]] \
+         [--out DIR] [--passes SPEC] [--variant NAME] \
+         [TARGET]...\n\
+         \x20      repro plan|describe <variant-name> [--n N] [--threads T] [--passes SPEC]\n\
+         \x20      repro optimize <variant-name> [--n N] [--machine NAME] [--frontier K] \
+         [--store PATH]\n\
+         \x20      repro serve [--addr HOST:PORT] [--store PATH] [--max-inflight N] \
+         [--request-deadline SECS] [--stale-ok]";
     fn usage(msg: &str) -> ! {
         eprintln!("repro: {msg}");
-        eprintln!(
-            "usage: repro [--fast] [--store PATH] [--threads N] [--json PATH] \
-             [--mode simulate|symbolic|hybrid] \
-             [--deadline SECS] [--point-deadline SECS] \
-             [--shards N [--workers K] [--heartbeat-stale SECS] [--fabric-respawns N]] \
-             [--out DIR] [--passes SPEC] [--variant NAME] \
-             [TARGET]...\n\
-             \x20      repro plan|describe <variant-name> [--n N] [--threads T] [--passes SPEC]\n\
-             \x20      repro optimize <variant-name> [--n N] [--machine NAME] [--frontier K] \
-             [--store PATH]\n\
-             \x20      repro serve [--addr HOST:PORT] [--store PATH] [--max-inflight N] \
-             [--request-deadline SECS] [--stale-ok]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     fn count_flag(value: Option<String>, flag: &str) -> usize {
@@ -380,6 +380,7 @@ fn main() {
                     _ => usage("--mode needs one of simulate|symbolic|hybrid"),
                 }
             }
+            "--help" | "-h" => print_help(USAGE),
             flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
             other => wanted.push(other.to_string()),
         }
@@ -759,6 +760,12 @@ fn main() {
     std::process::exit(exit_code);
 }
 
+/// The answer to `--help` / `-h`: the usage text on stdout, exit 0.
+fn print_help(usage_text: &str) -> ! {
+    println!("{usage_text}");
+    std::process::exit(0);
+}
+
 /// Resolve a display-name variant argument against the extended
 /// enumeration valid for an `n`^3 box. One parser for every place a
 /// variant name enters the CLI (`repro plan`, `repro describe`,
@@ -805,9 +812,10 @@ fn parse_variant_cli(cmd: &str, args: &[String]) -> VariantCli {
     let mut n: i32 = 32;
     let mut threads: usize = 8;
     let mut passes = String::new();
+    let usage_text = format!("usage: {cmd} <variant-name> [--n N] [--threads T] [--passes SPEC]");
     let usage = |msg: &str| -> ! {
         eprintln!("{cmd}: {msg}");
-        eprintln!("usage: {cmd} <variant-name> [--n N] [--threads T] [--passes SPEC]");
+        eprintln!("{usage_text}");
         std::process::exit(2);
     };
     let mut it = args.iter();
@@ -830,6 +838,7 @@ fn parse_variant_cli(cmd: &str, args: &[String]) -> VariantCli {
             "--passes" => {
                 passes = it.next().unwrap_or_else(|| usage("--passes needs a spec")).clone()
             }
+            "--help" | "-h" => print_help(&usage_text),
             flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
             other if name.is_none() => name = Some(other.to_string()),
             other => usage(&format!("unexpected argument '{other}'")),
@@ -927,12 +936,11 @@ fn run_optimize_command(args: &[String]) {
     let mut machine: Option<String> = None;
     let mut frontier_k: usize = 4;
     let mut store = String::from("target/traffic-cache.txt");
+    const USAGE: &str = "usage: repro optimize <variant-name> [--n N] [--machine NAME] \
+         [--frontier K] [--store PATH]";
     let usage = |msg: &str| -> ! {
         eprintln!("repro optimize: {msg}");
-        eprintln!(
-            "usage: repro optimize <variant-name> [--n N] [--machine NAME] \
-             [--frontier K] [--store PATH]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     };
     let mut it = args.iter();
@@ -956,6 +964,7 @@ fn run_optimize_command(args: &[String]) {
                     .unwrap_or_else(|_| usage("--frontier needs a number"))
             }
             "--store" => store = it.next().unwrap_or_else(|| usage("--store needs a path")).clone(),
+            "--help" | "-h" => print_help(USAGE),
             flag if flag.starts_with("--") => usage(&format!("unknown flag '{flag}'")),
             other if name.is_none() => name = Some(other.to_string()),
             other => usage(&format!("unexpected argument '{other}'")),
@@ -1077,14 +1086,13 @@ fn run_optimize_command(args: &[String]) {
 /// stderr as `[repro] serve: listening on ADDR` so scripts launching
 /// with `--addr 127.0.0.1:0` can scrape the ephemeral port.
 fn run_serve_command(args: &[String]) -> ! {
+    const USAGE: &str = "usage: repro serve [--addr HOST:PORT] [--store PATH] \
+         [--mode simulate|symbolic|hybrid] [--threads N] [--max-inflight N] \
+         [--retry-after-ms MS] [--request-deadline SECS] [--point-deadline SECS] \
+         [--drain-deadline SECS] [--stale-ok]";
     fn usage(msg: &str) -> ! {
         eprintln!("repro serve: {msg}");
-        eprintln!(
-            "usage: repro serve [--addr HOST:PORT] [--store PATH] \
-             [--mode simulate|symbolic|hybrid] [--threads N] [--max-inflight N] \
-             [--retry-after-ms MS] [--request-deadline SECS] [--point-deadline SECS] \
-             [--drain-deadline SECS] [--stale-ok]"
-        );
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     fn secs(value: Option<&String>, flag: &str) -> Duration {
@@ -1151,6 +1159,7 @@ fn run_serve_command(args: &[String]) -> ! {
             }
             "--drain-deadline" => cfg.drain_deadline = secs(it.next(), "--drain-deadline"),
             "--stale-ok" => cfg.stale_ok = true,
+            "--help" | "-h" => print_help(USAGE),
             other => usage(&format!("unexpected argument '{other}'")),
         }
     }

@@ -472,3 +472,20 @@ fn serve_injected_request_drop_hits_one_request_not_the_server() {
     assert!(resp.contains("\"ok\":true"), "{resp}");
     drain_with_sigterm(child);
 }
+
+#[test]
+fn help_prints_usage_to_stdout_and_exits_0() {
+    for flag in ["--help", "-h"] {
+        for sub in [None, Some("plan"), Some("describe"), Some("optimize"), Some("serve")] {
+            let mut cmd = repro();
+            cmd.args(sub).arg(flag);
+            let (stdout, stderr) = run(&mut cmd);
+            let prefix = match sub {
+                None => "usage: repro ".to_string(),
+                Some(s) => format!("usage: repro {s} "),
+            };
+            assert!(stdout.starts_with(&prefix), "{sub:?} {flag}: {stdout}");
+            assert!(stderr.is_empty(), "{sub:?} {flag}: {stderr}");
+        }
+    }
+}

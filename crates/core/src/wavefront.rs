@@ -60,10 +60,26 @@ pub fn wavefront_groups(cells: IBox, tile: i32) -> Vec<Vec<IBox>> {
         .collect()
 }
 
+/// Number of wavefronts (barrier-separated fronts) of an `n^3` box with
+/// tile size `tile`: `3c - 2` for `c = ceil(n / tile)` tiles per axis,
+/// the length of [`wavefront_groups`] without building it.
+pub fn wavefront_count(n: i32, tile: i32) -> usize {
+    let c = IBox::cube(n).tile_counts(tile)[0];
+    (3 * c - 2).max(1) as usize
+}
+
 /// Number of tiles in each wavefront for an `n^3` box with tile size
-/// `t` — the machine model's parallel-efficiency input.
+/// `t` — the machine model's parallel-efficiency input. Closed form, no
+/// tiles built: front `w` holds `sum_tz #{tx + ty = w - tz}`, and with
+/// `c` tiles per axis a diagonal `s` of the `c x c` (tx, ty) square has
+/// `min(s, 2c - 2 - s) + 1` tiles. Equals the group lengths of
+/// [`wavefront_groups`], in O(c^2) time.
 pub fn wavefront_sizes(n: i32, tile: i32) -> Vec<usize> {
-    wavefront_groups(IBox::cube(n), tile).iter().map(|g| g.len()).collect()
+    let c = IBox::cube(n).tile_counts(tile)[0] as i64;
+    let pairs = |s: i64| if (0..=2 * c - 2).contains(&s) { s.min(2 * c - 2 - s) + 1 } else { 0 };
+    (0..wavefront_count(n, tile) as i64)
+        .map(|w| (0..c).map(|tz| pairs(w - tz)).sum::<i64>() as usize)
+        .collect()
 }
 
 /// Reusable serial-wavefront buffers for hierarchical overlapped tiling:

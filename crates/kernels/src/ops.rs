@@ -59,16 +59,22 @@ pub fn exemplar_ops(cells: IBox) -> OpCount {
 /// size `tile`: every tile computes its own `(T+1)` faces per direction,
 /// so interior tile boundaries do face work twice. Accumulation is never
 /// redundant (each cell belongs to exactly one tile).
+///
+/// Closed form, no tiles built: summing `(t_d + 1) * prod_{e != d} t_e`
+/// over the `c_d` tile columns and the tile extents of the other axes
+/// separates into `(n_d + c_d) * prod_{e != d} n_e` faces in direction
+/// `d`, where `n` is the box extent and `c = ceil(n / tile)`.
 pub fn exemplar_ops_overlapped(cells: IBox, tile: i32) -> OpCount {
+    assert!(tile >= 1);
+    let n: [u64; DIM] = std::array::from_fn(|d| cells.extent(d) as u64);
     let mut oc = OpCount::default();
-    for t in cells.tiles(tile) {
-        for d in 0..DIM {
-            let nfaces = t.surrounding_faces(d).num_pts() as u64;
-            oc.interp += nfaces * NCOMP as u64;
-            oc.flux += nfaces * NCOMP as u64;
-        }
-        oc.accum += t.num_pts() as u64 * NCOMP as u64 * DIM as u64;
+    for d in 0..DIM {
+        let area: u64 = (0..DIM).filter(|&e| e != d).map(|e| n[e]).product();
+        let nfaces = (n[d] + n[d].div_ceil(tile as u64)) * area;
+        oc.interp += nfaces * NCOMP as u64;
+        oc.flux += nfaces * NCOMP as u64;
     }
+    oc.accum = n.iter().product::<u64>() * NCOMP as u64 * DIM as u64;
     oc
 }
 

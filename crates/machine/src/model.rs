@@ -115,7 +115,7 @@ pub fn parallel_efficiency(variant: Variant, wl: Workload, t: usize) -> f64 {
                     total as f64 / padded
                 }
                 Category::OverlappedTile => {
-                    let tiles = IBox::cube(n).tiles(variant.tile_size()).len();
+                    let tiles = IBox::cube(n).tile_counts(variant.tile_size()).product();
                     tiles as f64 / pad(tiles)
                 }
             }
@@ -128,8 +128,7 @@ fn barriers_per_box(variant: Variant, n: i32) -> usize {
     match (variant.gran, variant.category) {
         (Granularity::WithinBox, Category::Series) => 4 * 3, // phases x directions
         (Granularity::WithinBox, Category::ShiftFuse | Category::BlockedWavefront) => {
-            let tile = variant.tile.unwrap_or(1);
-            let fronts = wavefront::wavefront_sizes(n, tile).len();
+            let fronts = wavefront::wavefront_count(n, variant.tile.unwrap_or(1));
             match variant.comp {
                 pdesched_core::CompLoop::Outside => fronts * NCOMP + 1,
                 pdesched_core::CompLoop::Inside => fronts,
