@@ -3,68 +3,49 @@
 //!
 //! The store itself is the source of truth for *completed* points (a
 //! measurement is either durably appended or it isn't), so the journal
-//! only needs the rest of the story: that a sweep started (and which
-//! process is running it), which points failed or timed out, whether
-//! the writer is still alive (heartbeats), and whether the sweep
-//! finished or was cancelled. A journal whose `begin` record has no
-//! matching `complete` marks an interrupted sweep — as does a completed
-//! one that recorded failures or timeouts, since those points are still
-//! missing from the store. Either way the next prewarm over the same
-//! store reports it in `PrewarmReport::resumed_from` and picks up
-//! exactly the missing points.
+//! only needs the rest of the story: that a sweep started, which points
+//! failed or timed out, and whether the sweep finished or was
+//! cancelled. A journal whose `begin` record has no matching `complete`
+//! marks an interrupted sweep — as does a completed one that recorded
+//! failures or timeouts, since those points are still missing from the
+//! store. Either way the next prewarm over the same store reports it in
+//! `PrewarmReport::resumed_from` and picks up exactly the missing
+//! points.
 //!
 //! Format (`<store>.journal`, line-oriented, tab-separated fields):
 //!
 //! ```text
 //! # pdesched-sweep-journal v1
-//! begin\t<total-points-to-measure>\t<pid>\t<unix-millis>
-//! heartbeat\t<pid>\t<unix-millis>
+//! begin\t<total-points-to-measure>
 //! fail\t<variant>\t<n>\t<error>
 //! timeout\t<variant>\t<n>\t<error>
 //! cancelled\t<reason>
 //! complete
 //! ```
 //!
-//! In the single-process protocol there is one `begin` (first record)
-//! and at most one terminal record (`cancelled` or `complete`) per
-//! sweep; the file is truncated at the start of each sweep, after the
-//! previous contents were read. The parser does **not** enforce that
-//! shape: under the shard fabric a reclaimed shard's journal can carry
-//! interleaved records from several writer generations — a crashed
-//! worker's `begin` followed by its successor's — so [`load`] is
-//! deliberately tolerant: duplicate `begin`s are last-writer-wins, a
-//! record with unparseable fields is skipped rather than condemning the
-//! whole journal, and unknown record kinds are ignored (they are how
-//! this format grows). Records are appended and flushed one at a time
-//! so the journal survives the same crashes the store does; a torn
-//! trailing record — even one cut mid-UTF-8-sequence, which is why the
-//! file is read with a lossy byte-level decode — is ignored and counted
+//! A sweep writes one `begin` (first record) and at most one terminal
+//! record (`cancelled` or `complete`); the file is truncated at the
+//! start of each sweep, after the previous contents were read. Older
+//! binaries also wrote `begin\t<total>\t<pid>\t<unix-millis>`,
+//! `heartbeat\t<pid>\t<unix-millis>` records, and journals with
+//! several interleaved `begin`s; [`load`] still reads all of them. It is
+//! deliberately tolerant: duplicate `begin`s are last-writer-wins, extra
+//! fields are ignored, a record with unparseable fields is skipped
+//! rather than condemning the whole journal, and unknown record kinds
+//! are ignored (they are how this format grows). Records are appended
+//! and flushed one at a time so the journal survives the same crashes
+//! the store does; a torn trailing record — even one cut
+//! mid-UTF-8-sequence, which is why the file is read with a lossy
+//! byte-level decode — is ignored and counted
 //! ([`PriorSweep::torn_records`]), mirroring how the traffic store
 //! quarantines torn lines. Error texts have tabs/newlines flattened to
 //! spaces so one record is always one line.
-//!
-//! Heartbeats exist for the fabric coordinator: the sweep engine
-//! appends one every heartbeat interval, and a `begin` counts as the
-//! first beat. Staleness of the newest beat (see [`last_heartbeat`]) is
-//! evidence the writing *process* is gone or wedged beyond even its own
-//! watchdog — the watchdog thread keeps beating through a hung point,
-//! so a stale beat is a process-level verdict, not a point-level one.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 const HEADER: &str = "# pdesched-sweep-journal v1";
-
-/// Milliseconds since the unix epoch — the journal's coarse clock.
-/// Wall-clock, not monotonic: heartbeat staleness is compared across
-/// processes, where a monotonic clock has no shared zero.
-pub fn unix_millis() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
 
 /// What the journal says about the previous sweep over this store.
 /// Only produced when that sweep left points behind: it was interrupted
@@ -84,12 +65,6 @@ pub struct PriorSweep {
     /// cancel (signal, deadline). `None` means it died without a
     /// terminal record — a crash or `kill -9`.
     pub cancelled: Option<String>,
-    /// Pid of the most recent writer (last `begin`/`heartbeat` that
-    /// carried one). Old journals without pids yield `None`.
-    pub pid: Option<u32>,
-    /// Timestamp of the newest heartbeat (a `begin` counts), unix
-    /// millis. `None` for old journals without timestamps.
-    pub last_heartbeat_ms: Option<u64>,
     /// Torn records ignored while loading: a trailing record a crash
     /// cut mid-append (possibly mid-UTF-8-sequence), counted the same
     /// way [`crate::TrafficCache`] counts quarantined store lines
@@ -117,7 +92,7 @@ fn sanitize(s: &str) -> String {
 ///
 /// Tolerant by design (see the module docs): duplicate `begin`s are
 /// last-writer-wins, records with unparseable fields are skipped, and
-/// unknown record kinds are ignored — a crashed worker's journal must
+/// unknown record kinds are ignored — a crashed sweep's journal must
 /// stay resumable, not become "corrupt".
 pub fn load(path: &Path) -> Option<PriorSweep> {
     // Lossy byte-level read: a crash can tear an append mid-UTF-8
@@ -145,31 +120,20 @@ pub fn load(path: &Path) -> Option<PriorSweep> {
             Some("begin") => {
                 // A later writer's begin supersedes an earlier one; a
                 // begin whose total doesn't parse is a torn/foreign
-                // record and is skipped, not fatal.
+                // record and is skipped, not fatal. Any pid/timestamp
+                // fields an older binary appended are ignored.
                 match it.next().and_then(|t| t.parse().ok()) {
                     None => false,
                     Some(total) => {
                         prior.total = total;
                         begun = true;
-                        if let Some(pid) = it.next().and_then(|p| p.parse().ok()) {
-                            prior.pid = Some(pid);
-                        }
-                        if let Some(ms) = it.next().and_then(|m| m.parse().ok()) {
-                            prior.last_heartbeat_ms = Some(ms);
-                        }
                         true
                     }
                 }
             }
-            Some("heartbeat") => {
-                if let Some(pid) = it.next().and_then(|p| p.parse().ok()) {
-                    prior.pid = Some(pid);
-                }
-                if let Some(ms) = it.next().and_then(|m| m.parse().ok()) {
-                    prior.last_heartbeat_ms = Some(ms);
-                }
-                true
-            }
+            // Liveness beats written by older binaries: nothing to
+            // report, but a well-formed record, never a torn one.
+            Some("heartbeat") => true,
             Some("fail") => {
                 prior.failed += 1;
                 true
@@ -202,61 +166,6 @@ pub fn load(path: &Path) -> Option<PriorSweep> {
     begun.then_some(prior)
 }
 
-/// The newest `(pid, unix-millis)` beat in the journal at `path` — from
-/// a `heartbeat` record or a timestamped `begin` — regardless of
-/// whether the sweep is resumable or even complete. This is the
-/// coordinator's liveness probe for a claimed shard; `None` means no
-/// journal, no header, or a pre-heartbeat journal, all of which read as
-/// "no evidence of life" (the caller falls back to pid liveness).
-pub fn last_heartbeat(path: &Path) -> Option<(u32, u64)> {
-    // Lossy for the same reason as `load`: a torn tail must not erase
-    // the intact beats before it.
-    let bytes = std::fs::read(path).ok()?;
-    let text = String::from_utf8_lossy(&bytes);
-    let mut lines = text.lines();
-    if lines.next() != Some(HEADER) {
-        return None;
-    }
-    let mut newest = None;
-    for line in lines {
-        let mut it = line.split('\t');
-        let kind = it.next();
-        if !matches!(kind, Some("heartbeat") | Some("begin")) {
-            continue;
-        }
-        if kind == Some("begin") {
-            let _ = it.next(); // skip <total>
-        }
-        let (Some(pid), Some(ms)) = (
-            it.next().and_then(|p| p.parse::<u32>().ok()),
-            it.next().and_then(|m| m.parse::<u64>().ok()),
-        ) else {
-            continue;
-        };
-        newest = Some((pid, ms));
-    }
-    newest
-}
-
-/// Whether the journal at `path` records a sweep that ran to the end
-/// (a `complete` record). [`SweepJournal::start`] truncates, so every
-/// record in the file belongs to the newest writer generation; a
-/// `complete` anywhere means that generation finished its point list.
-/// The coordinator uses this to tell "shard swept, some points failed"
-/// (complete — done, reported as failures) from "writer died or was
-/// cancelled mid-sweep" (no `complete` — the shard must be re-offered).
-pub fn is_complete(path: &Path) -> bool {
-    let Ok(bytes) = std::fs::read(path) else {
-        return false;
-    };
-    let text = String::from_utf8_lossy(&bytes);
-    let mut lines = text.lines();
-    if lines.next() != Some(HEADER) {
-        return false;
-    }
-    lines.any(|l| l.split('\t').next() == Some("complete"))
-}
-
 /// An open journal for the sweep in progress. Dropping it without
 /// [`SweepJournal::complete`] leaves the interrupted-sweep marker in
 /// place — exactly what a crash does.
@@ -266,13 +175,12 @@ pub struct SweepJournal {
 
 impl SweepJournal {
     /// Truncate `path` and open a fresh journal recording a sweep of
-    /// `total` points, stamped with this process's pid and the current
-    /// time (the sweep's first heartbeat). Returns `None` if the file
-    /// cannot be written (the sweep proceeds unjournaled).
+    /// `total` points. Returns `None` if the file cannot be written (the
+    /// sweep proceeds unjournaled).
     pub fn start(path: &Path, total: usize) -> Option<SweepJournal> {
         let mut f =
             std::fs::OpenOptions::new().create(true).write(true).truncate(true).open(path).ok()?;
-        writeln!(f, "{HEADER}\nbegin\t{total}\t{}\t{}", std::process::id(), unix_millis()).ok()?;
+        writeln!(f, "{HEADER}\nbegin\t{total}").ok()?;
         f.flush().ok()?;
         Some(SweepJournal { file: Mutex::new(f) })
     }
@@ -281,13 +189,6 @@ impl SweepJournal {
         let mut f = self.file.lock().unwrap_or_else(|e| e.into_inner());
         let _ = writeln!(f, "{record}");
         let _ = f.flush();
-    }
-
-    /// Record a heartbeat: this process is alive and the sweep is still
-    /// running. Appended by the sweep engine's watchdog at the
-    /// configured interval.
-    pub fn heartbeat(&self) {
-        self.append(&format!("heartbeat\t{}\t{}", std::process::id(), unix_millis()));
     }
 
     /// Record one point whose measurement panicked.
@@ -317,18 +218,6 @@ mod tests {
     use super::*;
     use pdesched_testkit::TempDir;
 
-    /// Strip the live pid/timestamp a fresh journal stamps on `begin`
-    /// so tests can compare the deterministic fields exactly.
-    fn stable(p: Option<PriorSweep>) -> Option<PriorSweep> {
-        p.map(|mut p| {
-            assert_eq!(p.pid, Some(std::process::id()), "begin must carry the writer pid");
-            assert!(p.last_heartbeat_ms.is_some(), "begin must carry a timestamp");
-            p.pid = None;
-            p.last_heartbeat_ms = None;
-            p
-        })
-    }
-
     #[test]
     fn cleanly_completed_sweep_leaves_nothing_to_resume() {
         let dir = TempDir::new("journal");
@@ -348,10 +237,7 @@ mod tests {
         let j = SweepJournal::start(&path, 7).unwrap();
         j.fail("sf", 16, "boom");
         j.complete();
-        assert_eq!(
-            stable(load(&path)),
-            Some(PriorSweep { total: 7, failed: 1, ..Default::default() })
-        );
+        assert_eq!(load(&path), Some(PriorSweep { total: 7, failed: 1, ..Default::default() }));
     }
 
     #[test]
@@ -364,14 +250,14 @@ mod tests {
         j.timeout("clo-4", 64, "point deadline");
         drop(j); // crash: no terminal record
         assert_eq!(
-            stable(load(&path)),
+            load(&path),
             Some(PriorSweep { total: 9, failed: 1, timed_out: 2, ..Default::default() })
         );
         // A cancelled sweep carries its reason.
         let j = SweepJournal::start(&path, 3).unwrap();
         j.cancelled("signal SIGINT");
         assert_eq!(
-            stable(load(&path)),
+            load(&path),
             Some(PriorSweep {
                 total: 3,
                 cancelled: Some("signal SIGINT".into()),
@@ -416,7 +302,7 @@ mod tests {
         text.push_str("timeo");
         std::fs::write(&path, text).unwrap();
         assert_eq!(
-            stable(load(&path)),
+            load(&path),
             Some(PriorSweep { total: 4, failed: 1, torn_records: 1, ..Default::default() })
         );
     }
@@ -439,15 +325,13 @@ mod tests {
         bytes.extend_from_slice("fail\tsf\t8\tcaf".as_bytes());
         bytes.push(0xC3);
         std::fs::write(&path, &bytes).unwrap();
-        let prior = stable(load(&path)).expect("intact records must survive a torn tail");
+        let prior = load(&path).expect("intact records must survive a torn tail");
         assert_eq!(prior.total, 6);
         assert_eq!(prior.timed_out, 1);
         // The torn fail record still begins with a well-formed "fail"
         // kind, so it parses (its error text carries the replacement
         // char) — the intact fail plus the torn one.
         assert_eq!(prior.failed, 2);
-        assert!(last_heartbeat(&path).is_some(), "beats must survive a torn tail");
-        assert!(!is_complete(&path));
         // A tail torn *inside the record kind* is unparseable and is
         // counted instead of silently vanishing.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -455,29 +339,29 @@ mod tests {
         bytes.extend_from_slice(b"time");
         bytes.push(0xE2); // first byte of a 3-byte sequence
         std::fs::write(&path, &bytes).unwrap();
-        let prior = stable(load(&path)).expect("must load");
+        let prior = load(&path).expect("must load");
         assert_eq!((prior.failed, prior.timed_out, prior.torn_records), (1, 1, 1));
     }
 
     #[test]
     fn legacy_begin_without_pid_or_timestamp_still_loads() {
-        // Journals written before the shard fabric carried a bare
-        // `begin\t<total>`; they must stay readable (pid/heartbeat
-        // simply unknown).
+        // The oldest journals carried a bare `begin\t<total>`, the
+        // format new sweeps write again; it must stay readable.
         let dir = TempDir::new("journal");
         let path = dir.file("traffic.txt.journal");
         std::fs::write(&path, format!("{HEADER}\nbegin\t6\nfail\tsf\t16\tboom\n")).unwrap();
         assert_eq!(load(&path), Some(PriorSweep { total: 6, failed: 1, ..Default::default() }));
-        assert_eq!(last_heartbeat(&path), None);
     }
 
     #[test]
     fn interleaved_writers_and_duplicate_begins_are_last_writer_wins() {
-        // A reclaimed shard's journal: worker 111 began, beat, failed a
-        // point, was SIGKILL'd mid-record; worker 222 began over the
-        // same file (append, not truncate, in this simulation) and beat
-        // again. The journal must stay loadable, totals from the newest
-        // begin, failure counts accumulated, newest beat reported.
+        // A journal an older binary left behind when several writers
+        // appended to it: writer 111 began with a pid and timestamp,
+        // beat, failed a point, was SIGKILL'd mid-record; writer 222
+        // began over the same file and beat again. The journal must
+        // stay loadable, totals from the newest begin, failure counts
+        // accumulated, and a trailing heartbeat is a well-formed
+        // record, not a torn one.
         let dir = TempDir::new("journal");
         let path = dir.file("traffic.txt.journal");
         std::fs::write(
@@ -497,26 +381,6 @@ mod tests {
         let prior = load(&path).expect("interleaved journal must load");
         assert_eq!(prior.total, 5, "newest begin wins");
         assert_eq!(prior.failed, 1, "failures accumulate across writers");
-        assert_eq!(prior.pid, Some(222));
-        assert_eq!(prior.last_heartbeat_ms, Some(4000));
-        assert_eq!(last_heartbeat(&path), Some((222, 4000)));
-    }
-
-    #[test]
-    fn heartbeat_updates_the_probe_and_survives_completion() {
-        let dir = TempDir::new("journal");
-        let path = dir.file("traffic.txt.journal");
-        let j = SweepJournal::start(&path, 2).unwrap();
-        let (pid0, ms0) = last_heartbeat(&path).expect("begin is the first beat");
-        assert_eq!(pid0, std::process::id());
-        j.heartbeat();
-        let (pid1, ms1) = last_heartbeat(&path).expect("explicit beat");
-        assert_eq!(pid1, std::process::id());
-        assert!(ms1 >= ms0, "beats move forward: {ms0} -> {ms1}");
-        // Completion doesn't erase liveness history: the coordinator
-        // may probe a shard that just finished.
-        j.complete();
-        assert_eq!(load(&path), None, "completed sweep has nothing to resume");
-        assert_eq!(last_heartbeat(&path), Some((pid1, ms1)));
+        assert_eq!(prior.torn_records, 0, "heartbeat records are not torn");
     }
 }

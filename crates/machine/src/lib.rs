@@ -32,7 +32,6 @@
 
 pub mod adapter;
 pub mod analytic;
-pub mod coordinator;
 pub mod engine;
 pub mod fault;
 pub mod figures;
@@ -40,16 +39,12 @@ pub mod journal;
 pub mod model;
 pub mod parallel;
 pub mod serve;
-pub mod shard;
 pub mod spec;
 pub mod sweep;
 pub mod symbolic;
 pub mod traffic;
 
 pub use adapter::TraceMem;
-pub use coordinator::{
-    run_fabric, run_worker, FabricConfig, FabricReport, ShardStatus, WorkerConfig, WorkerOutcome,
-};
 pub use engine::{PointFailure, PrewarmReport, SimPoint, SkippedPoint, SweepBudget, SweepEngine};
 pub use fault::FaultHook;
 pub use journal::PriorSweep;
@@ -59,7 +54,6 @@ pub use parallel::{
     measure_box_traffic_parallel, measure_box_traffic_parallel_sim, ParallelStats,
 };
 pub use serve::{ServeConfig, ServeFaultAction, ServeHook, ServeStats, Server};
-pub use shard::{MergeConflict, MergeReport};
 pub use spec::MachineSpec;
 pub use sweep::{
     candidate_pipelines, search_schedules, ConfirmedSchedule, ScheduleCandidate, SearchReport,

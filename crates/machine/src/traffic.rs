@@ -39,9 +39,9 @@ pub const STORE_VERSION: u32 = 4;
 const V3_HEADER: &str = "# pdesched-traffic-store v3";
 
 /// How a traffic number is (or was) produced. For the cache this is
-/// *provenance*, not a key: the three modes agree bit-for-bit (pinned by
-/// the cross-validation suite), so an entry measured under one mode is
-/// served under any other.
+/// *provenance*, not a key: the modes agree bit-for-bit (pinned by the
+/// cross-validation suite), so an entry measured under one mode is
+/// served under the other.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TrafficMode {
     /// Run the schedule for real and replay every element access
@@ -51,9 +51,6 @@ pub enum TrafficMode {
     /// Plan-level symbolic summarization ([`crate::symbolic`]), falling
     /// back to the simulator when the analysis leaves phases unclaimed.
     Symbolic,
-    /// Symbolic when the analysis claims the whole plan, simulate
-    /// otherwise — same numbers, explicit intent.
-    Hybrid,
 }
 
 impl TrafficMode {
@@ -62,16 +59,16 @@ impl TrafficMode {
         match self {
             TrafficMode::Simulate => "sim",
             TrafficMode::Symbolic => "sym",
-            TrafficMode::Hybrid => "hyb",
         }
     }
 
-    /// Parse a store tag.
+    /// Parse a store tag. `hyb` is the tag of a retired mode that was
+    /// `Symbolic` under another name; stores written by older binaries
+    /// still carry it.
     pub fn from_tag(tag: &str) -> Option<TrafficMode> {
         match tag {
             "sim" => Some(TrafficMode::Simulate),
-            "sym" => Some(TrafficMode::Symbolic),
-            "hyb" => Some(TrafficMode::Hybrid),
+            "sym" | "hyb" => Some(TrafficMode::Symbolic),
             _ => None,
         }
     }
@@ -300,7 +297,7 @@ pub struct CacheStats {
     /// Misses measured under a symbolic-capable mode that fell back to
     /// the exact simulator (unclaimed plan — e.g. wavefront or
     /// overlapped-tile variants). `claimed_points + fallback_points ==
-    /// misses` under Symbolic/Hybrid modes.
+    /// misses` under the Symbolic mode.
     pub fallback_points: u64,
 }
 
@@ -359,10 +356,8 @@ pub struct TrafficCache {
 /// each cache level's geometry — which is how the *machine and thread
 /// count* enter, via `MachineSpec::hierarchy_for(threads_on_socket)`.
 ///
-/// Public because the key is also the unit of *sharding*: the sweep
-/// fabric ([`crate::shard`]) assigns each point to a shard store by a
-/// stable hash of exactly this string, so every process of a sweep
-/// computes the same partition.
+/// Public because callers outside the cache (the benchmark, the
+/// snapshot-reader tests) look entries up by key.
 pub fn store_key(variant: Variant, n: i32, configs: &[CacheConfig]) -> String {
     use std::fmt::Write;
     let mut k = format!(
@@ -422,10 +417,9 @@ pub(crate) fn store_header() -> String {
 /// In-memory image of the store: measurement plus its provenance tag.
 pub(crate) type StoreMap = HashMap<String, (BoxTraffic, TrafficMode)>;
 
-/// FNV-1a 64-bit: the store's line checksum, and the stable hash the
-/// sweep fabric shards keys with (tiny, dependency-free, and plenty to
-/// detect torn appends and bit rot — this is integrity against crashes,
-/// not an adversary).
+/// FNV-1a 64-bit: the store's line checksum (tiny, dependency-free, and
+/// plenty to detect torn appends and bit rot — this is integrity against
+/// crashes, not an adversary).
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -638,9 +632,8 @@ fn try_acquire_lock(lock: &Path) -> Option<std::fs::File> {
 /// reproducible bytes): write a tmp file, then rename over the target,
 /// so a crash mid-rewrite leaves either the old or the new store —
 /// never a half-written one. Because the keys are sorted and the line
-/// format is canonical, the bytes are a pure function of the entry set:
-/// the shard fabric's merge-compaction relies on this to make the merged
-/// store byte-stable regardless of worker interleaving.
+/// format is canonical, the bytes are a pure function of the entry set,
+/// so a compacted store is byte-stable regardless of append order.
 pub(crate) fn write_store_atomic(path: &Path, entries: &StoreMap) -> std::io::Result<()> {
     let mut keys: Vec<&String> = entries.keys().collect();
     keys.sort();
@@ -676,11 +669,11 @@ pub(crate) fn store_stamp(path: &Path) -> (u64, u64) {
 
 /// Lock-free, read-only snapshot of a store: intact entries plus the
 /// count of corrupt lines. Accepts the current and the v3 grammar, never
-/// repairs, quarantines, or locks — this is the coordinator's view of a
-/// shard store that a worker may still own (an append can tear mid-line
-/// under the reader; the torn tail shows up as one corrupt line and the
-/// next snapshot sees it whole). A missing or wrong-version file reads
-/// as empty.
+/// repairs, quarantines, or locks — this is the view of a store that
+/// another process may still own (an append can tear mid-line under the
+/// reader; the torn tail shows up as one corrupt line and the next
+/// snapshot sees it whole). A missing or wrong-version file reads as
+/// empty.
 pub(crate) fn read_store_snapshot(path: &Path) -> (StoreMap, u64) {
     let mut map = StoreMap::new();
     let mut corrupt = 0u64;
@@ -1000,10 +993,10 @@ impl TrafficCache {
     ///
     /// Only meaningful for a cache that is *not* the store's writer: a
     /// long-lived read-only reader (the second `repro` of a pair, a
-    /// degraded server) whose writer compacts or merge-compacts
-    /// underneath it would otherwise serve its load-time view forever.
-    /// The writer itself is the single source of the file's changes, so
-    /// a writing cache returns `false` without stat-ing.
+    /// degraded server) whose writer compacts underneath it would
+    /// otherwise serve its load-time view forever. The writer itself is
+    /// the single source of the file's changes, so a writing cache
+    /// returns `false` without stat-ing.
     pub fn refresh_if_compacted(&self) -> bool {
         let Some(path) = &self.store else {
             return false;
@@ -1091,7 +1084,7 @@ impl TrafficCache {
             // Tag with what actually produced the number: a full
             // fallback is a simulated entry whatever the configured
             // mode.
-            requested @ (TrafficMode::Symbolic | TrafficMode::Hybrid) => {
+            TrafficMode::Symbolic => {
                 let (t, used_symbolic) = if threads > 1 {
                     let (t, ps) =
                         crate::parallel::measure_box_traffic_parallel(variant, n, configs, threads);
@@ -1104,7 +1097,7 @@ impl TrafficCache {
                 } else {
                     self.fallback_points.fetch_add(1, Ordering::Relaxed);
                 }
-                (t, if used_symbolic { requested } else { TrafficMode::Simulate })
+                (t, if used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate })
             }
         };
         self.record(key, t, mode);
@@ -1194,7 +1187,7 @@ impl TrafficCache {
                 .0;
                 (t, TrafficMode::Simulate)
             }
-            requested @ (TrafficMode::Symbolic | TrafficMode::Hybrid) => {
+            TrafficMode::Symbolic => {
                 // The claim rule lives in the parallel front end: an
                 // order-preserving pipeline on a claimed plan keeps the
                 // symbolic certificate (the verifier pinned the serial
@@ -1208,7 +1201,7 @@ impl TrafficCache {
                 } else {
                     self.fallback_points.fetch_add(1, Ordering::Relaxed);
                 }
-                (t, if ps.used_symbolic { requested } else { TrafficMode::Simulate })
+                (t, if ps.used_symbolic { TrafficMode::Symbolic } else { TrafficMode::Simulate })
             }
         };
         self.record(key, t, mode);
@@ -1238,7 +1231,7 @@ impl TrafficCache {
             hook.before_simulation(sim_index, &key);
         }
         let t = measure_pair_traffic(variant, n, configs, pipeline)?;
-        if matches!(self.mode, TrafficMode::Symbolic | TrafficMode::Hybrid) {
+        if self.mode == TrafficMode::Symbolic {
             self.fallback_points.fetch_add(1, Ordering::Relaxed);
         }
         self.record(key, t, TrafficMode::Simulate);
@@ -1531,14 +1524,40 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_mode_picks_the_claimed_pipeline() {
-        let cache = TrafficCache::new().with_mode(TrafficMode::Hybrid);
+    fn symbolic_mode_picks_the_claimed_pipeline() {
+        let cache = TrafficCache::new().with_mode(TrafficMode::Symbolic);
         let cfg = small_hierarchy();
         cache.get(Variant::shift_fuse(), 8, &cfg);
-        assert_eq!(cache.provenance(Variant::shift_fuse(), 8, &cfg), Some(TrafficMode::Hybrid));
+        assert_eq!(cache.provenance(Variant::shift_fuse(), 8, &cfg), Some(TrafficMode::Symbolic));
         let wf = Variant::blocked_wavefront(CompLoop::Outside, 4);
         cache.get(wf, 8, &cfg);
         assert_eq!(cache.provenance(wf, 8, &cfg), Some(TrafficMode::Simulate));
+    }
+
+    #[test]
+    fn legacy_hyb_tag_loads_as_symbolic() {
+        // Older binaries had a `Hybrid` mode that tagged its entries
+        // `hyb`; those stores must keep loading and serving.
+        let dir = TempDir::new("hyb");
+        let path = dir.file("traffic.txt");
+        let cfg = small_hierarchy();
+        let t = measure_box_traffic(Variant::shift_fuse(), 8, &cfg);
+        let payload = format!(
+            "{} hyb {} {} {} {} {}",
+            store_key(Variant::shift_fuse(), 8, &cfg),
+            t.dram_bytes,
+            t.reads,
+            t.writes,
+            t.l1_hit,
+            t.llc_hit
+        );
+        let line = format!("{payload} {:016x}", fnv1a64(payload.as_bytes()));
+        std::fs::write(&path, format!("{}\n{line}\n", store_header())).unwrap();
+        let cache = TrafficCache::with_store(&path);
+        assert_eq!((cache.len(), cache.stats().corrupt_lines), (1, 0));
+        assert_eq!(cache.get(Variant::shift_fuse(), 8, &cfg), t);
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 0));
+        assert_eq!(cache.provenance(Variant::shift_fuse(), 8, &cfg), Some(TrafficMode::Symbolic));
     }
 
     #[test]
@@ -1682,7 +1701,7 @@ mod tests {
 
     #[test]
     fn get_optimized_tags_producers_and_memoizes() {
-        let cache = TrafficCache::new().with_mode(TrafficMode::Hybrid);
+        let cache = TrafficCache::new().with_mode(TrafficMode::Symbolic);
         let cfg = small_hierarchy();
         // Empty pipeline delegates to the plain entry point (same key).
         let plain = cache.get_optimized(Variant::baseline(), 8, &cfg, &Pipeline::empty()).unwrap();

@@ -147,8 +147,11 @@ fn hung_point_is_killed_by_point_deadline_without_blocking_the_rest() {
     let report = {
         let cache =
             TrafficCache::with_store(&path).with_fault_hook(Arc::new(HangHook(Arc::clone(&plan))));
+        // Far above any real point here (tens of ms in a debug build,
+        // more on a loaded host) and far below the hang's 60 s cap, so
+        // only the hung point can hit it.
         let engine = SweepEngine::new(2).with_budget(SweepBudget {
-            point_deadline: Some(Duration::from_millis(60)),
+            point_deadline: Some(Duration::from_secs(5)),
             ..Default::default()
         });
         engine.prewarm(&cache, &pts)

@@ -8,7 +8,7 @@
 
 use pdesched_cachesim::CacheConfig;
 use pdesched_core::Variant;
-use pdesched_machine::{journal, shard, traffic};
+use pdesched_machine::{journal, traffic};
 use pdesched_machine::{FaultHook, SimPoint, SweepEngine, TrafficCache};
 use pdesched_testkit::{FaultPlan, TempDir};
 use std::sync::Arc;
@@ -248,43 +248,36 @@ fn stale_lock_takeover_grants_exactly_one_writer_under_contention() {
 }
 
 /// Kill-at-every-byte for the journal sidecar: truncating a journal at
-/// any offset must leave every probe (`load`, `last_heartbeat`,
-/// `is_complete`) well-defined, and must only ever err in the safe
-/// direction — a torn `complete` reads as "not complete" (the shard is
-/// reswept; completed points are in the *store* and resweeping skips
-/// them), never as a phantom completion.
+/// any offset must leave `load` well-defined, and it must only ever err
+/// in the safe direction — a torn `complete` reads as an interrupted
+/// sweep (resumed; completed points are in the *store* and resuming
+/// skips them), never as a phantom completion.
 #[test]
 fn journal_truncated_at_every_byte_stays_probeable_and_safe() {
     let dir = TempDir::new("journalcut");
     let full_path = dir.file("t.txt.journal");
     {
         let j = journal::SweepJournal::start(&full_path, 3).unwrap();
-        j.heartbeat();
-        j.fail("sf", 16, "boom");
         j.complete();
     }
     let full = std::fs::read_to_string(&full_path).unwrap();
     // A cut that keeps the full record text but drops the trailing
     // newline still parses (the record is whole); only a cut *inside*
     // the text makes it torn.
+    let begin_total_end = full.find("begin\t3").unwrap() + "begin\t3".len();
     let complete_at = full.find("complete").unwrap() + "complete".len();
     for b in 0..=full.len() {
         let path = dir.file("cut.journal");
         std::fs::write(&path, &full.as_bytes()[..b]).unwrap();
-        // No probe may panic, whatever the cut.
+        // `load` may not panic, whatever the cut.
         let prior = journal::load(&path);
-        let beat = journal::last_heartbeat(&path);
-        let done = journal::is_complete(&path);
-        if b < complete_at {
-            assert!(!done, "cut at {b}: a torn complete record must read as incomplete");
-        } else {
-            assert!(done, "cut at {b}");
-        }
+        assert_eq!(
+            prior.is_some(),
+            (begin_total_end..complete_at).contains(&b),
+            "cut at {b}: resumable exactly while the begin is whole and the complete is not"
+        );
         if let Some(p) = &prior {
             assert_eq!(p.total, 3, "cut at {b}: the begin record is either whole or ignored");
-        }
-        if let Some((pid, _ms)) = beat {
-            assert_eq!(pid, std::process::id(), "cut at {b}");
         }
     }
 }
@@ -293,17 +286,14 @@ fn journal_truncated_at_every_byte_stays_probeable_and_safe() {
 /// lone 0xE2 byte — the first byte of a torn multi-byte UTF-8 sequence,
 /// exactly what a writer killed mid-write of non-ASCII text leaves
 /// behind. Before the lossy-decode fix, `load()` hard-errored on the
-/// invalid byte and condemned the whole journal; now every probe stays
-/// well-defined, the torn tail is counted, and `complete` only counts
-/// once its newline survived the cut (the junk byte glues onto whatever
-/// line the cut left open).
+/// invalid byte and condemned the whole journal; now it stays
+/// well-defined and the torn tail is counted.
 #[test]
 fn journal_cut_with_non_utf8_tail_stays_probeable_and_counted() {
     let dir = TempDir::new("journalutf8");
     let full_path = dir.file("t.txt.journal");
     {
         let j = journal::SweepJournal::start(&full_path, 3).unwrap();
-        j.heartbeat();
         j.fail("sf", 16, "boom");
         j.complete();
     }
@@ -312,18 +302,12 @@ fn journal_cut_with_non_utf8_tail_stays_probeable_and_counted() {
     // and the junk byte glues onto the total when the cut lands right
     // after it ("begin\t3" + 0xE2 parses as total "3�").
     let begin_total_end = full.find("begin\t3").unwrap() + "begin\t3".len();
-    let complete_at = full.find("complete").unwrap() + "complete".len();
     for b in 0..=full.len() {
         let path = dir.file("cut.journal");
         let mut bytes = full.as_bytes()[..b].to_vec();
         bytes.push(0xE2);
         std::fs::write(&path, &bytes).unwrap();
         let prior = journal::load(&path);
-        let beat = journal::last_heartbeat(&path);
-        let done = journal::is_complete(&path);
-        // "complete�" is not a completion record; only a whole
-        // `complete` line (newline included) reads as done.
-        assert_eq!(done, b > complete_at, "cut at {b}");
         // A whole begin record means the journal loads despite the junk.
         assert_eq!(prior.is_some(), b > begin_total_end, "cut at {b}");
         if let Some(p) = &prior {
@@ -333,135 +317,6 @@ fn journal_cut_with_non_utf8_tail_stays_probeable_and_counted() {
             // The junk forms its own torn trailing line and is counted.
             assert_eq!(prior.as_ref().unwrap().torn_records, 1, "cut at {b}");
             assert_eq!(prior.as_ref().unwrap().failed, 1, "cut at {b}");
-        }
-        if let Some((pid, _ms)) = beat {
-            assert_eq!(pid, std::process::id(), "cut at {b}");
-        }
-    }
-}
-
-/// Crash-at-every-handoff for merge-compaction: a kill before the
-/// atomic rename leaves the old canonical store with every shard store
-/// intact; a kill after it leaves the new canonical store with any
-/// suffix of the shard files still present. From every such state a
-/// re-run converges to the same canonical bytes — no completed point is
-/// ever lost.
-#[test]
-fn merge_interrupted_at_every_handoff_point_converges_on_rerun() {
-    let dir = TempDir::new("mergecrash");
-    let store = dir.file("t.txt");
-    let pts = cheap_points(4);
-    let shards = 2;
-    // One point measured pre-sharding (lives in the canonical store),
-    // the rest split across the shard stores.
-    let canonical_bytes = {
-        let cache = TrafficCache::with_store(&store);
-        cache.get(pts[0].variant, pts[0].n, &pts[0].configs);
-        drop(cache);
-        std::fs::read(&store).unwrap()
-    };
-    let parts = shard::partition(&pts[1..], shards);
-    let mut shard_bytes = Vec::new();
-    for (i, bucket) in parts.iter().enumerate() {
-        let sp = shard::shard_store_path(&store, i, shards);
-        let cache = TrafficCache::with_store(&sp);
-        for p in bucket {
-            cache.get(p.variant, p.n, &p.configs);
-        }
-        drop(cache);
-        shard_bytes.push(std::fs::read(&sp).unwrap());
-    }
-    let restore = |state: usize| {
-        // state 0: crash before the rename (old canonical + all shards).
-        // state k>0: crash during cleanup with shards k-1.. still there.
-        std::fs::write(&store, &canonical_bytes).unwrap();
-        for (i, bytes) in shard_bytes.iter().enumerate() {
-            let sp = shard::shard_store_path(&store, i, shards);
-            if state == 0 || i + 1 >= state {
-                std::fs::write(&sp, bytes).unwrap();
-            } else {
-                let _ = std::fs::remove_file(&sp);
-            }
-        }
-    };
-    restore(0);
-    let golden_report = shard::merge_shards(&store, shards).unwrap();
-    assert_eq!(golden_report.entries, pts.len());
-    let golden = std::fs::read_to_string(&store).unwrap();
-    for state in 0..=shards {
-        restore(state);
-        if state > 0 {
-            // Post-rename crash states start from the *merged* canonical.
-            std::fs::write(&store, &golden).unwrap();
-        }
-        let report = shard::merge_shards(&store, shards).unwrap();
-        assert_eq!(report.entries, pts.len(), "state {state}");
-        assert!(report.conflicts.is_empty(), "state {state}: {:?}", report.conflicts);
-        assert_eq!(
-            std::fs::read_to_string(&store).unwrap(),
-            golden,
-            "state {state}: re-run must converge to identical bytes"
-        );
-        for i in 0..shards {
-            assert!(!shard::shard_store_path(&store, i, shards).exists(), "state {state}");
-        }
-    }
-}
-
-/// Kill-at-every-byte for a shard store feeding the merge: a worker
-/// SIGKILL'd mid-append tears its shard's last line. The merge must
-/// keep every fully-written entry from every input, count the torn line
-/// as corrupt, and never invent or drop anything else.
-#[test]
-fn merge_with_a_torn_shard_tail_keeps_every_completed_point() {
-    let dir = TempDir::new("mergetear");
-    let store = dir.file("t.txt");
-    let pts = cheap_points(4);
-    let shards = 2;
-    let parts = shard::partition(&pts, shards);
-    assert!(parts.iter().all(|b| !b.is_empty()), "{parts:?}");
-    let mut shard_bytes = Vec::new();
-    for (i, bucket) in parts.iter().enumerate() {
-        let sp = shard::shard_store_path(&store, i, shards);
-        let cache = TrafficCache::with_store(&sp);
-        for p in bucket {
-            cache.get(p.variant, p.n, &p.configs);
-        }
-        drop(cache);
-        shard_bytes.push(std::fs::read_to_string(&sp).unwrap());
-    }
-    // Tear shard 0 at every byte; shard 1 stays whole.
-    let torn = &shard_bytes[0];
-    let bytes = torn.as_bytes();
-    let mut lines: Vec<(usize, usize)> = Vec::new();
-    let mut start = 0;
-    for (i, &b) in bytes.iter().enumerate() {
-        if b == b'\n' {
-            lines.push((start, i));
-            start = i + 1;
-        }
-    }
-    let (header, entries) = (lines[0], &lines[1..]);
-    for b in 0..=bytes.len() {
-        let _ = std::fs::remove_file(&store);
-        std::fs::write(shard::shard_store_path(&store, 0, shards), &bytes[..b]).unwrap();
-        std::fs::write(shard::shard_store_path(&store, 1, shards), &shard_bytes[1]).unwrap();
-        let report = shard::merge_shards(&store, shards).unwrap();
-        let whole = if b < header.1 {
-            0 // torn header: the shard reads as empty (wrong version)
-        } else {
-            entries.iter().filter(|&&(_, end)| end <= b).count()
-        };
-        let torn_line = u64::from(entries.iter().any(|&(s, end)| s < b && b < end));
-        assert_eq!(report.entries, whole + parts[1].len(), "cut at {b}");
-        if b >= header.1 {
-            assert_eq!(report.corrupt_lines, torn_line, "cut at {b}");
-        }
-        assert!(report.conflicts.is_empty(), "cut at {b}");
-        // Every fully-appended point is in the merged store.
-        let merged = TrafficCache::with_store(&store);
-        for p in &parts[1] {
-            assert!(merged.contains(p.variant, p.n, &p.configs), "cut at {b}");
         }
     }
 }
